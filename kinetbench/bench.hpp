@@ -140,7 +140,6 @@ public:
 class Report {
 public:
     void add(const std::string& name, double value, const std::string& unit);
-    [[nodiscard]] bool has(const std::string& name) const;
     [[nodiscard]] std::string json(const Outcome& outcome) const;
 
 private:
@@ -156,14 +155,17 @@ void render_csv(const kinet::data::Table& table, bool header, std::string& out);
 /// Independent validation of a CSV response: exactly `rows` data rows
 /// under the schema's header, every categorical cell one of its column's
 /// labels and every numeric cell a finite number.  Returns an empty string
-/// when the text passes, else what failed.  (A pinned request is not
-/// checked for the pinned label in every row: conditioning steers the
-/// generator but does not force its output, so such rows occur on some
-/// seeds.  Pinned requests are compared byte for byte with the in-process
-/// conditional sampler instead.)
+/// when the text passes, else what failed.
 [[nodiscard]] std::string check_csv(const std::string& text,
                                     const std::vector<kinet::data::ColumnMeta>& schema,
                                     std::size_t rows);
+
+/// The data rows of a CSV response (already passed by check_csv) whose
+/// cell in the pinned column is not the pinned label; `pin` is
+/// "column:label".
+[[nodiscard]] std::size_t rows_without_pin(const std::string& text,
+                                           const std::vector<kinet::data::ColumnMeta>& schema,
+                                           const std::string& pin);
 
 /// What sample_seeded / sample_conditional_seeded produce in-process,
 /// rendered by render_csv — the byte-exact reference for a SAMPLE.
@@ -298,18 +300,20 @@ private:
     bool joined_ = false;
 };
 
-/// One FEDTRAIN at `site`, awaited with POLL wait=1, then checked: the job
-/// is done, its losses are finite, the published model answers one SAMPLE
-/// byte-identically from every member, and its progress denominator
-/// covers the publish fan-out it performed (the known fault: sized from
-/// the static peer list, not the live view).
+/// One FEDTRAIN at `site`, awaited with POLL wait=1 (or, with
+/// `time_publish`, polled without waiting so the publish phase can be
+/// timed from its progress), then checked: the job is done, its losses are
+/// finite, the published model answers one SAMPLE byte-identically from
+/// every member, and its progress denominator covers the publish fan-out
+/// it performed (the known fault: sized from the static peer list, not the
+/// live view).
 struct FedtrainResult {
     double seconds = 0.0;
-    double publish_ms = -1.0;  // traced runs only: read from POLL progress
+    double publish_ms = -1.0;  // with time_publish only
 };
 FedtrainResult run_fedtrain(Fleet& fleet, std::size_t site, const std::string& model,
                             bool unsw, std::uint64_t sim_seed, std::uint64_t gan_seed,
-                            Outcome::Op& op);
+                            bool time_publish, Outcome::Op& op);
 
 // ------------------------------------------------------------- workloads
 
@@ -326,10 +330,6 @@ struct RunConfig {
 struct ServeTarget {
     kinet::service::SynthServer* server = nullptr;
     std::string model;  // a lab-model copy held locally by `server`
-    /// The stream workload's traced wall time and client parse time per
-    /// row; unset (<= 0) elsewhere, where the suite streams from `server`.
-    double stream_wall_us_per_row = -1.0;
-    double stream_parse_us_per_row = -1.0;
 };
 
 int run_stream(const RunConfig& config);
@@ -337,8 +337,8 @@ int run_fleet(const RunConfig& config);
 int run_train(const RunConfig& config);
 
 /// The traced run's per-layer metrics: every layer probed from outside on
-/// fixed inputs, plus the cluster probe on `fleet`.  Cluster metrics the
-/// workload loop already derived are kept.  A failed check in a probe
+/// fixed inputs, the same way on every workload, the cluster layer by one
+/// churn cycle and one FEDTRAIN on `fleet`.  A failed check in a probe
 /// makes the run incorrect without counting as a workload operation.
 void layer_suite(const RunConfig& config, const Models& models, const ServeTarget& target,
                  Fleet& fleet, Report& report, Outcome& outcome);

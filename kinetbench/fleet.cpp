@@ -313,7 +313,8 @@ void Fleet::check_models_agree(Outcome::Op& op, std::uint64_t seed) {
 // -------------------------------------------------------------- FEDTRAIN
 
 FedtrainResult run_fedtrain(Fleet& fleet, std::size_t site, const std::string& model, bool unsw,
-                            std::uint64_t sim_seed, std::uint64_t gan_seed, Outcome::Op& op) {
+                            std::uint64_t sim_seed, std::uint64_t gan_seed, bool time_publish,
+                            Outcome::Op& op) {
     constexpr std::size_t kEpochs = 3;
     kinet::service::TrainSpec spec;
     spec.records = 1000;
@@ -322,7 +323,6 @@ FedtrainResult run_fedtrain(Fleet& fleet, std::size_t site, const std::string& m
     spec.gan_seed = gan_seed;
     spec.domain = unsw ? "unsw" : "lab";
     SynthClient& client = fleet.client(site);
-    const bool traced = Tracer::get().enabled();
 
     FedtrainResult result;
     std::map<std::string, std::string> info;
@@ -330,7 +330,7 @@ FedtrainResult run_fedtrain(Fleet& fleet, std::size_t site, const std::string& m
     {
         Span span("cluster.fedtrain");
         const std::uint64_t id = client.fedtrain_async(model, spec);
-        if (traced) {
+        if (time_publish) {
             // Progress counts epochs first, then one unit per peer
             // published to: the first poll that sees the last epoch done
             // marks the start of registration and publish.

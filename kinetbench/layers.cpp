@@ -361,60 +361,59 @@ void layer_suite(const RunConfig& config, const Models& models, const ServeTarge
         }
         return 20.0;
     });
-    double wall_us_per_row = target.stream_wall_us_per_row;
-    if (wall_us_per_row <= 0.0) {
-        double rows = 0.0, us = 0.0;
-        for (int i = 0; i < 4; ++i) {
-            const StreamResult r = stream_sample(client, target.model, lab.schema(), 16384,
-                                                 config.seed + i, 512, {});
-            rows += static_cast<double>(r.rows_parsed);
-            us += r.total_ms * 1e3;
-        }
-        wall_us_per_row = us / rows;
+    // Streamed wall time per row, for the transport residual below.
+    double stream_rows = 0.0, stream_us = 0.0;
+    for (int i = 0; i < 4; ++i) {
+        const StreamResult r = stream_sample(client, target.model, lab.schema(), 16384,
+                                             config.seed + i, 512, {});
+        stream_rows += static_cast<double>(r.rows_parsed);
+        stream_us += r.total_ms * 1e3;
     }
 
-    // ---- cluster: what the workload loop did not already measure
+    // ---- cluster: forwarded against owner-direct requests, one churn
+    // cycle seen by a RingClient whose view it makes stale, and one FEDTRAIN
     Outcome probe_outcome;
     {
         Outcome::Op op(probe_outcome);
-        if (!report.has("cluster.forward_extra_us")) {
-            std::vector<double> fwd, direct;
-            for (int i = 0; i < 200; ++i) {
-                const std::size_t m = static_cast<std::size_t>(i) % Fleet::kModels;
-                auto& via = fleet.client(i % 2 == 0 ? fleet.non_owner(m, i) : fleet.placement(m)[0]);
-                Span span(i % 2 == 0 ? "service.request.forwarded" : "service.request.ring");
-                const auto t0 = Clock::now();
-                const std::string got = via.sample_csv(fleet.model_name(m), 8, 77 + i);
-                (i % 2 == 0 ? fwd : direct).push_back(ms_since(t0) * 1e3);
-                op.expect(got == reference_csv(models.model(fleet.model_is_unsw(m)), 8, 77 + i, {}),
-                          "cluster probe: forwarded bytes differ");
-            }
-            report.add("cluster.forward_extra_us", median(fwd) - median(direct), "us");
+        // Each (model, seed) is asked once through a non-owner and once of
+        // its owner, so both sides sample the same mix of models.
+        std::vector<double> fwd, direct;
+        for (int i = 0; i < 200; ++i) {
+            const bool forwarded = i % 2 == 0;
+            const std::size_t m = static_cast<std::size_t>(i / 2) % Fleet::kModels;
+            const std::uint64_t seed = 77 + static_cast<std::uint64_t>(i / 2);
+            auto& via = fleet.client(forwarded ? fleet.non_owner(m, seed) : fleet.placement(m)[0]);
+            Span span(forwarded ? "service.request.forwarded" : "service.request.direct");
+            const auto t0 = Clock::now();
+            const std::string got = via.sample_csv(fleet.model_name(m), 8, seed);
+            (forwarded ? fwd : direct).push_back(ms_since(t0) * 1e3);
+            op.expect(got == reference_csv(models.model(fleet.model_is_unsw(m)), 8, seed, {}),
+                      std::string("cluster probe: ") + (forwarded ? "forwarded" : "owner-direct") +
+                          " bytes differ from the in-process sample");
         }
-        if (!report.has("cluster.join_s")) {
-            kinet::service::RingClient ring({fleet.addresses()[0]});
-            ring.refresh();
-            const Fleet::Change left = fleet.leave(op);
-            const Fleet::Change joined = fleet.join(op);
-            for (std::size_t m = 0; m < Fleet::kModels; ++m) {
-                g_sink += double(ring.sample_csv(fleet.model_name(m), 4, m).size());
-            }
-            report.add("cluster.join_fleet_ms", joined.join_fleet_ms, "ms");
-            report.add("cluster.rebalance_ms", left.rebalance_ms + joined.rebalance_ms, "ms");
-            report.add("cluster.handoff_per_moved",
-                       double(left.handoffs + joined.handoffs) /
-                           double(std::max<std::size_t>(left.moved + joined.moved, 1)),
-                       "ratio");
-            report.add("cluster.reroutes", static_cast<double>(ring.reroutes()), "count");
-            report.add("cluster.join_s", joined.seconds, "s");
-            report.add("cluster.leave_s", left.seconds, "s");
+        report.add("cluster.forward_extra_us", median(fwd) - median(direct), "us");
+
+        kinet::service::RingClient ring({fleet.addresses()[0]});
+        ring.refresh();
+        const Fleet::Change left = fleet.leave(op);
+        const Fleet::Change joined = fleet.join(op);
+        for (std::size_t m = 0; m < Fleet::kModels; ++m) {
+            g_sink += double(ring.sample_csv(fleet.model_name(m), 4, m).size());
         }
-        if (!report.has("cluster.publish_ms")) {
-            // At the joined member, whose progress total is right.
-            const FedtrainResult r =
-                run_fedtrain(fleet, Fleet::kMembers - 1, "probe-fed", false, 3, 4, op);
-            report.add("cluster.publish_ms", r.publish_ms, "ms");
-        }
+        report.add("cluster.join_fleet_ms", joined.join_fleet_ms, "ms");
+        report.add("cluster.rebalance_ms", left.rebalance_ms + joined.rebalance_ms, "ms");
+        report.add("cluster.handoff_per_moved",
+                   double(left.handoffs + joined.handoffs) /
+                       double(std::max<std::size_t>(left.moved + joined.moved, 1)),
+                   "ratio");
+        report.add("cluster.reroutes", static_cast<double>(ring.reroutes()), "count");
+        report.add("cluster.join_s", joined.seconds, "s");
+        report.add("cluster.leave_s", left.seconds, "s");
+
+        // At the joined member, whose progress total is right.
+        const FedtrainResult r =
+            run_fedtrain(fleet, Fleet::kMembers - 1, "probe-fed", false, 3, 4, true, op);
+        report.add("cluster.publish_ms", r.publish_ms, "ms");
     }
     if (!probe_outcome.correct) {
         outcome.correct = false;
@@ -431,13 +430,14 @@ void layer_suite(const RunConfig& config, const Models& models, const ServeTarge
     Layers l;
     l.refresh();
     const double encode_us = l.us_per_item("common.csv.encode");
+    const double parse_us = l.us_per_item("common.csv.parse");
     const double bytes_per_row = double(encoded_csv.size()) / double(chunk.rows());
     report.add("common.rng.normal_ns", l.us_per_item("common.rng.normal") * 1e3, "ns");
     report.add("common.rng.gumbel_ns", l.us_per_item("common.rng.gumbel") * 1e3, "ns");
     report.add("common.csv.encode_us_per_row", encode_us, "us");
     report.add("common.csv.encode_bytes_per_row", bytes_per_row, "bytes");
     report.add("common.csv.encode_mb_per_s", bytes_per_row / encode_us, "MB/s");
-    report.add("common.csv.parse_us_per_row", l.us_per_item("common.csv.parse"), "us");
+    report.add("common.csv.parse_us_per_row", parse_us, "us");
     report.add("common.parallel.dispatch_us", l.us_per_item("common.parallel.dispatch"), "us");
     report.add("tensor.gemm.serve_gflops", 1e-3 / l.us_per_item("tensor.gemm.serve"), "GFLOP/s");
     report.add("tensor.gemm.serve_flop_per_row", layer_flops / double(batch), "FLOP");
@@ -464,10 +464,8 @@ void layer_suite(const RunConfig& config, const Models& models, const ServeTarge
     report.add("service.handle_small_us", l.us_per_item("service.handle_small"), "us");
     // A residual, not a measurement of its own: the streamed wall time per
     // row minus what the in-process layers account for.
-    const double parse_us = target.stream_parse_us_per_row > 0.0 ? target.stream_parse_us_per_row
-                                                                  : l.us_per_item("common.csv.parse");
-    report.add("service.transport_us_per_row", wall_us_per_row - sample_us - encode_us - parse_us,
-               "us");
+    report.add("service.transport_us_per_row",
+               stream_us / stream_rows - sample_us - encode_us - parse_us, "us");
     report.add("trace.spans", static_cast<double>(Tracer::get().size()), "count");
 }
 

@@ -6,9 +6,10 @@
 Run from the checkout root.  Each run gets its own seed.  For every
 end-to-end metric it prints each set's median and quartiles, the
 interquartile spread as a share of the median against the metric's bound
-from BENCHMARK.json, and how far the second set's median moved from the
-first's in the metric's worse direction.  It also prints the share of
-failed operations per set, which must be identical.
+from BENCHMARK.json, and how far each later set's median moved from the
+first's, as a share of it (positive is worse).  The sets are steady when
+every spread and every move, either way, is within the bound, and the
+share of failed operations is identical in every run.
 """
 import argparse
 import json
@@ -80,10 +81,9 @@ def main():
                 change = (medians[i] - medians[0]) / medians[0]
                 worse = change if better == "lower" else -change
                 moved = f"{worse:+.3f}"
-                ok &= worse <= bound
-            if name != "setup_s":
-                ok &= spread <= bound
-            flag = "" if spread <= bound / 3 or name == "setup_s" else "  > bound/3"
+                ok &= abs(worse) <= bound
+            ok &= spread <= bound
+            flag = "" if spread <= bound / 3 else "  > bound/3"
             print(f"{name:18s} {i + 1:3d} {med:12.5g} {q1:12.5g} {q3:12.5g}"
                   f" {spread:7.3f} {bound:6.2f} {moved:>7s}{flag}")
     print("steady" if ok else "NOT steady")

@@ -177,11 +177,6 @@ void Report::add(const std::string& name, double value, const std::string& unit)
     metrics_.push_back({name, {value, unit}});
 }
 
-bool Report::has(const std::string& name) const {
-    return std::any_of(metrics_.begin(), metrics_.end(),
-                       [&name](const auto& m) { return m.first == name; });
-}
-
 std::string Report::json(const Outcome& outcome) const {
     std::ostringstream out;
     out << "{\"correct\": " << (outcome.correct ? "true" : "false")
@@ -207,7 +202,7 @@ int finish(const RunConfig& config, const Report& report, const Outcome& outcome
     }
     if (outcome.known_faults > 0) {
         std::cerr << "kinetbench: " << outcome.known_faults
-                  << " operation(s) failed on the known FEDTRAIN progress fault\n";
+                  << " operation(s) failed on a known program fault\n";
     }
     if (config.trace) {
         Tracer::get().write(config.out_dir + "/trace-" + config.workload + "-" +
@@ -361,6 +356,24 @@ std::string check_csv(const std::string& text, const std::vector<ColumnMeta>& sc
     return {};
 }
 
+std::size_t rows_without_pin(const std::string& text, const std::vector<ColumnMeta>& schema,
+                             const std::string& pin) {
+    const auto [column, label] = *split_pin(pin);
+    std::size_t c = 0;
+    while (c < schema.size() && schema[c].name != column) {
+        ++c;
+    }
+    std::size_t misses = 0;
+    std::size_t start = text.find('\n') + 1;  // past the header
+    while (start < text.size()) {
+        const std::size_t end = text.find('\n', start);
+        const auto cells = split_line(text.substr(start, end - start));
+        misses += c < cells.size() && cells[c] == label ? 0 : 1;
+        start = end + 1;
+    }
+    return misses;
+}
+
 std::string reference_csv(const KiNetGan& model, std::size_t n, std::uint64_t seed,
                           const std::string& cond) {
     const auto pin = split_pin(cond);
@@ -480,7 +493,7 @@ StreamResult stream_sample(kinet::service::SynthClient& client, const std::strin
             }
             last = now;
             first = false;
-            Span parse_span("common.csv.parse");
+            Span parse_span("client.parse");
             const Table parsed =
                 Table::from_csv(kinet::csv::parse(parse_buffer), schema);
             parse_span.set_items(static_cast<double>(parsed.rows()));

@@ -187,7 +187,10 @@ int run_stream(const RunConfig& config) {
     // loop of large streamed SAMPLEs in 512-row chunks, alternating models,
     // every fourth one pinning a conditional column.  Every other request
     // is followed by a model update: the snapshot is pushed again (REPLICATE)
-    // and a first chunk is served from it — change_s.
+    // and a first chunk is served from it — change_s.  The pinned request
+    // fails its label check every time, on the known conditioning fault
+    // (README, "Output checks"), so its pin and seed come from the round
+    // number, not --seed: a counted failure must not depend on the seed.
     struct Fixture {
         Models models;
         std::unique_ptr<SynthServer> server;
@@ -212,9 +215,6 @@ int run_stream(const RunConfig& config) {
     constexpr std::size_t kSizes[] = {12288, 16384, 20480, 24576};
     const Models& models = fx->models;
     SynthClient& client = *fx->client;
-    double traced_parse_us = 0.0;
-    double traced_wall_us = 0.0;
-    double traced_rows = 0.0;
 
     auto loop = [&](double seconds, bool traced) {
         Figures fig;
@@ -226,25 +226,29 @@ int run_stream(const RunConfig& config) {
                 const std::string name = unsw ? "unsw" : "lab";
                 const auto& model = models.model(unsw);
                 const std::size_t n = kSizes[(static_cast<std::size_t>(round) + k) % 4];
-                const std::uint64_t seed = rng();
-                const std::string pin = k == 3 ? draw_pin(model, unsw, rng()) : std::string();
+                const bool pinned = k == 3;
+                const std::uint64_t seed = pinned ? 5000 + static_cast<std::uint64_t>(round) : rng();
+                const std::string pin =
+                    pinned ? draw_pin(model, unsw, static_cast<std::uint64_t>(round)) : std::string();
                 Outcome::Op op(outcome);
                 try {
                     const StreamResult r =
                         stream_sample(client, name, model.schema(), n, seed, kChunk, pin);
                     fig.add_request(r.total_ms, r.rows_parsed);
                     fig.add_stream(r);
-                    if (traced) {
-                        traced_wall_us += r.total_ms * 1e3;
-                        traced_rows += static_cast<double>(r.rows_parsed);
-                    }
                     op.expect(r.rows_parsed == n, "parsed " + std::to_string(r.rows_parsed) +
                                                       " rows of " + std::to_string(n));
                     const std::string bad = check_csv(r.text, model.schema(), n);
-                    op.expect(bad.empty(), "stream " + name + ": " + bad);
+                    if (op.expect(bad.empty(), "stream " + name + ": " + bad) && pinned) {
+                        const std::size_t misses = rows_without_pin(r.text, model.schema(), pin);
+                        op.known_fault(misses == 0, "stream " + name + " cond=" + pin + ": " +
+                                                        std::to_string(misses) + " of " +
+                                                        std::to_string(n) +
+                                                        " rows lack the pinned label");
+                    }
                     // Byte-for-byte against the in-process sampler on every
                     // pinned request and every third other one.
-                    if (!pin.empty() || (static_cast<std::size_t>(round) * 4 + k) % 3 == 0) {
+                    if (pinned || (static_cast<std::size_t>(round) * 4 + k) % 3 == 0) {
                         op.expect(r.text == reference_csv(model, n, seed, pin),
                                   "stream " + name + " n=" + std::to_string(n) +
                                       " differs from the in-process sample");
@@ -279,12 +283,7 @@ int run_stream(const RunConfig& config) {
     };
     run_passes(config, report, loop, [](const Figures& f) { return f.unit_cost(); });
     if (config.trace) {
-        const auto summary = Tracer::get().summarize();
-        if (const auto it = summary.find("common.csv.parse"); it != summary.end()) {
-            traced_parse_us = it->second.self_us / it->second.items;
-        }
-        const ServeTarget target{fx->server.get(), "lab", traced_wall_us / traced_rows,
-                                 traced_parse_us};
+        const ServeTarget target{fx->server.get(), "lab"};
         Fleet fleet(models);
         layer_suite(config, models, target, fleet, report, outcome);
     }
@@ -324,10 +323,6 @@ int run_fleet(const RunConfig& config) {
     kinet::service::RingClient& ring = *fx->ring;
     const Models& models = fx->models;
     constexpr int kRoundRequests = 512;
-
-    std::vector<double> forwarded_us, direct_us, join_fleet_ms, rebalance_ms, join_s, leave_s;
-    std::uint64_t handoffs = 0, moved = 0;
-    const std::uint64_t reroutes_before = ring.reroutes();
 
     auto loop = [&](double seconds, bool traced) {
         Figures fig;
@@ -375,7 +370,7 @@ int run_fleet(const RunConfig& config) {
                         Span span(forwarded ? "service.request.forwarded" : "service.request.ring");
                         response = forwarded ? fleet.client(member).call(request) : ring.rpc(request);
                         if (response.ok && kind != 3) {
-                            Span parse("common.csv.parse", static_cast<double>(n));
+                            Span parse("client.parse", static_cast<double>(n));
                             rows = kinet::data::Table::from_csv(
                                        kinet::csv::parse(response.payload), model.schema())
                                        .rows();
@@ -383,9 +378,6 @@ int run_fleet(const RunConfig& config) {
                     }
                     const double ms = ms_since(t0);
                     fig.add_request(ms, rows);
-                    if (kind != 3 && pin.empty()) {
-                        (forwarded ? forwarded_us : direct_us).push_back(ms * 1e3);
-                    }
                     if (!op.expect(response.ok, name + ": " + response.error)) {
                         continue;
                     }
@@ -416,12 +408,6 @@ int run_fleet(const RunConfig& config) {
                 const Fleet::Change joined = fleet.join(op);
                 fleet.check_models_agree(op, 1000 + static_cast<std::uint64_t>(round));
                 fig.add_change(left.seconds + joined.seconds);
-                leave_s.push_back(left.seconds);
-                join_s.push_back(joined.seconds);
-                join_fleet_ms.push_back(joined.join_fleet_ms);
-                rebalance_ms.push_back(left.rebalance_ms + joined.rebalance_ms);
-                handoffs += left.handoffs + joined.handoffs;
-                moved += left.moved + joined.moved;
             } catch (const std::exception& e) {
                 op.expect(false, "churn cycle: " + what_of(e));
             }
@@ -431,15 +417,6 @@ int run_fleet(const RunConfig& config) {
     };
     run_passes(config, report, loop, [](const Figures& f) { return f.unit_cost(); });
     if (config.trace) {
-        report.add("cluster.forward_extra_us", median(forwarded_us) - median(direct_us), "us");
-        report.add("cluster.join_fleet_ms", median(join_fleet_ms), "ms");
-        report.add("cluster.rebalance_ms", median(rebalance_ms), "ms");
-        report.add("cluster.handoff_per_moved",
-                   static_cast<double>(handoffs) / static_cast<double>(std::max<std::uint64_t>(moved, 1)),
-                   "ratio");
-        report.add("cluster.reroutes", static_cast<double>(ring.reroutes() - reroutes_before), "count");
-        report.add("cluster.join_s", median(join_s), "s");
-        report.add("cluster.leave_s", median(leave_s), "s");
         const std::size_t owner = fleet.placement(0)[0];
         const ServeTarget target{&fleet.server(owner), fleet.model_name(0)};
         layer_suite(config, models, target, fleet, report, outcome);
@@ -472,7 +449,6 @@ int run_train(const RunConfig& config) {
     const Models& models = fx->models;
     constexpr std::size_t kPullRows = 8192;
     constexpr std::size_t kPullChunk = 128;
-    std::vector<double> publish_ms;
 
     auto loop = [&](double seconds, bool traced) {
         Figures fig;
@@ -487,12 +463,9 @@ int run_train(const RunConfig& config) {
                 {
                     Outcome::Op op(outcome);
                     try {
-                        const FedtrainResult r =
-                            run_fedtrain(fleet, site, name, unsw, sim_seed, gan_seed, op);
-                        fig.add_change(r.seconds);
-                        if (r.publish_ms >= 0.0) {
-                            publish_ms.push_back(r.publish_ms);
-                        }
+                        fig.add_change(
+                            run_fedtrain(fleet, site, name, unsw, sim_seed, gan_seed, false, op)
+                                .seconds);
                         published = true;
                     } catch (const std::exception& e) {
                         op.expect(false, "FEDTRAIN " + name + ": " + what_of(e));
@@ -530,9 +503,6 @@ int run_train(const RunConfig& config) {
     };
     run_passes(config, report, loop, [](const Figures& f) { return f.change_cost(); });
     if (config.trace) {
-        if (!publish_ms.empty()) {
-            report.add("cluster.publish_ms", median(publish_ms), "ms");
-        }
         const std::size_t owner = fleet.placement(0)[0];
         const ServeTarget target{&fleet.server(owner), fleet.model_name(0)};
         layer_suite(config, models, target, fleet, report, outcome);
