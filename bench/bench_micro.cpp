@@ -297,6 +297,28 @@ void BM_SampleThroughputStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleThroughputStreaming)->UseRealTime();
 
+// Rows/s of the serving CSV encoder (Table::append_csv) on one 512-row
+// seeded chunk: Arg(0) lab, Arg(1) UNSW.  The buffer is reused across
+// iterations, as the SAMPLE paths reuse their frame.
+void BM_CsvEncode(benchmark::State& state) {
+    const bool unsw = state.range(0) != 0;
+    constexpr std::size_t kRows = 512;
+    const data::Table chunk = sample_bench_model(unsw).sample_seeded(kRows, 3);
+    std::string out;
+    for (auto _ : state) {
+        out.clear();
+        chunk.append_csv(out, /*include_header=*/false);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kRows));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(out.size()));
+    state.SetLabel(unsw ? "unsw" : "lab");
+}
+BENCHMARK(BM_CsvEncode)->Arg(0)->Arg(1)->UseRealTime();
+
 // End-to-end rows/s through a live server while Arg(0) idle connections sit
 // parked on the epoll loop.  Flat numbers across the arg column are the
 // event-driven core's selling point: parked sockets cost one epoll

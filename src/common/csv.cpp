@@ -1,5 +1,6 @@
 #include "src/common/csv.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -53,12 +54,15 @@ std::vector<std::string> parse_record(const std::string& content, std::size_t& p
     return fields;
 }
 
-bool needs_quoting(const std::string& cell) {
-    return cell.find_first_of(",\"\n\r") != std::string::npos;
-}
+}  // namespace
 
-void write_cell(std::string& out, const std::string& cell) {
-    if (!needs_quoting(cell)) {
+void append_cell(std::string& out, std::string_view cell) {
+    // A plain scan: on short labels it beats find_first_of's per-character
+    // set lookup.
+    const bool plain = std::none_of(cell.begin(), cell.end(), [](char c) {
+        return c == ',' || c == '"' || c == '\n' || c == '\r';
+    });
+    if (plain) {
         out += cell;
         return;
     }
@@ -72,8 +76,6 @@ void write_cell(std::string& out, const std::string& cell) {
     }
     out.push_back('"');
 }
-
-}  // namespace
 
 Document parse(const std::string& content) {
     Document doc;
@@ -109,7 +111,7 @@ void serialize_append(const Document& doc, bool include_header, std::string& out
             if (i > 0) {
                 out.push_back(',');
             }
-            write_cell(out, row[i]);
+            append_cell(out, row[i]);
         }
         out.push_back('\n');
     };

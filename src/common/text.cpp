@@ -1,7 +1,9 @@
 #include "src/common/text.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <sstream>
+#include <charconv>
+#include <limits>
 
 #include "src/common/check.hpp"
 
@@ -49,12 +51,28 @@ bool starts_with(std::string_view s, std::string_view prefix) {
     return s.substr(0, prefix.size()) == prefix;
 }
 
+void append_fixed(std::string& out, double v, int precision) {
+    char buf[64];
+    const auto fast = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, precision);
+    if (fast.ec == std::errc{}) {
+        out.append(buf, fast.ptr);
+        return;
+    }
+    // |v| beyond ~1e50 (or a long precision): size the tail for the widest
+    // fixed form — sign, every integer digit, point, fraction.  A negative
+    // precision means 6, as in printf.
+    const std::size_t at = out.size();
+    out.resize(at + 3 + std::numeric_limits<double>::max_exponent10 +
+               static_cast<std::size_t>(std::max(precision, 6)));
+    const auto wide = std::to_chars(out.data() + at, out.data() + out.size(), v,
+                                    std::chars_format::fixed, precision);
+    out.resize(static_cast<std::size_t>(wide.ptr - out.data()));
+}
+
 std::string format_double(double v, int precision) {
-    std::ostringstream os;
-    os.setf(std::ios::fixed);
-    os.precision(precision);
-    os << v;
-    return os.str();
+    std::string out;
+    append_fixed(out, v, precision);
+    return out;
 }
 
 std::string pad(std::string_view s, std::size_t width) {

@@ -22,7 +22,13 @@ namespace kinet::text {
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Fixed-precision double formatting for report tables (no trailing noise).
+/// Byte-identical to printf("%.*f"): the exactly rounded decimal, ties to
+/// even, "-0.000000" for negative values that round to zero.
 [[nodiscard]] std::string format_double(double v, int precision);
+
+/// format_double written onto the end of `out` with no temporary string —
+/// the form the CSV encoder uses for every continuous cell.
+void append_fixed(std::string& out, double v, int precision);
 
 /// Left-pads/truncates to a column width for aligned console tables.
 [[nodiscard]] std::string pad(std::string_view s, std::size_t width);

@@ -96,6 +96,11 @@ public:
 
     /// CSV round-trip (labels written for categorical cells).
     [[nodiscard]] csv::Document to_csv() const;
+    /// The serving encoder: appends the CSV text of this table (header row
+    /// first when `include_header`) to a caller-owned, reused buffer.  The
+    /// bytes equal csv::serialize_append(to_csv(), include_header, out),
+    /// built with no Document, no per-cell string and no stream.
+    void append_csv(std::string& out, bool include_header) const;
     [[nodiscard]] static Table from_csv(const csv::Document& doc,
                                         const std::vector<ColumnMeta>& schema);
 

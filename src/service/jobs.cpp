@@ -26,9 +26,9 @@ struct JobManager::Job {
     std::uint64_t id = 0;
     std::string model;
     JobState state = JobState::queued;
-    std::size_t epochs_total = 0;
     std::string error;
     Work work;
+    std::atomic<std::size_t> epochs_total{0};
     std::atomic<std::size_t> epochs_done{0};
     std::atomic<bool> cancel{false};
 };
@@ -41,8 +41,10 @@ JobInfo snapshot_locked(const JobManager::Job& job) {
     out.id = job.id;
     out.model = job.model;
     out.state = job.state;
-    out.epochs_done = job.epochs_done.load(std::memory_order_relaxed);
-    out.epochs_total = job.epochs_total;
+    // done before total, pairing with report_progress's total-then-done
+    // stores: a reader never sees progress past the total it reads.
+    out.epochs_done = job.epochs_done.load(std::memory_order_acquire);
+    out.epochs_total = job.epochs_total.load(std::memory_order_acquire);
     out.error = job.error;
     return out;
 }
@@ -73,6 +75,12 @@ void JobManager::Context::report_progress(std::size_t epochs_done) noexcept {
     job_.epochs_done.store(epochs_done, std::memory_order_relaxed);
 }
 
+void JobManager::Context::report_progress(std::size_t epochs_done,
+                                          std::size_t epochs_total) noexcept {
+    job_.epochs_total.store(epochs_total, std::memory_order_release);
+    job_.epochs_done.store(epochs_done, std::memory_order_release);
+}
+
 JobManager::JobManager(std::size_t workers) {
     const std::size_t count = workers == 0 ? 1 : workers;
     workers_.reserve(count);
@@ -88,7 +96,7 @@ std::uint64_t JobManager::submit(std::string model, std::size_t epochs_total, Wo
     KINET_CHECK(work != nullptr, "JobManager::submit: null work");
     auto job = std::make_shared<Job>();
     job->model = std::move(model);
-    job->epochs_total = epochs_total;
+    job->epochs_total.store(epochs_total, std::memory_order_relaxed);
     job->work = std::move(work);
     std::uint64_t id = 0;
     {
@@ -120,7 +128,7 @@ void JobManager::restore_terminal(const JobInfo& info) {
     job->id = info.id;
     job->model = info.model;
     job->state = info.state;
-    job->epochs_total = info.epochs_total;
+    job->epochs_total.store(info.epochs_total, std::memory_order_relaxed);
     job->error = info.error;
     job->epochs_done.store(info.epochs_done, std::memory_order_relaxed);
     const MutexLock lock(mu_);
@@ -262,7 +270,8 @@ void JobManager::worker_loop() {
                 // A cancel that lands after the work already published its
                 // result arrived too late: the job is done.
                 job->state = JobState::done;
-                job->epochs_done.store(job->epochs_total, std::memory_order_relaxed);
+                job->epochs_done.store(job->epochs_total.load(std::memory_order_relaxed),
+                                       std::memory_order_relaxed);
             } else if (job->cancel.load(std::memory_order_relaxed)) {
                 job->state = JobState::cancelled;
             } else {

@@ -61,6 +61,10 @@ public:
         [[nodiscard]] bool cancel_requested() const noexcept;
         /// Records completed-epoch progress for POLL.
         void report_progress(std::size_t epochs_done) noexcept;
+        /// Records progress and resizes the denominator together, for work
+        /// whose last phase is sized only once it starts (FEDTRAIN's publish
+        /// walks the membership view as it stands then).
+        void report_progress(std::size_t epochs_done, std::size_t epochs_total) noexcept;
 
     private:
         friend class JobManager;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <thread>
 #include <utility>
 
@@ -117,11 +118,11 @@ public:
         try {
             const data::Table* chunk = cursor_->next();
             if (chunk != nullptr) {
-                payload_.clear();
-                csv::serialize_append(chunk->to_csv(), /*include_header=*/chunks_ == 0,
-                                      payload_);
-                out = "CHUNK " + std::to_string(payload_.size()) + "\n";
-                out += payload_;
+                // The payload is encoded straight into the frame; its
+                // length is known only afterwards, so the short CHUNK line
+                // is then slid in front of it.
+                chunk->append_csv(out, /*include_header=*/chunks_ == 0);
+                out.insert(0, "CHUNK " + std::to_string(out.size()) + "\n");
                 rows_ += chunk->rows();
                 ++chunks_;
                 return true;
@@ -148,7 +149,6 @@ private:
     Metrics& metrics_;
     std::uint64_t rows_ = 0;
     std::uint64_t chunks_ = 0;
-    std::string payload_;  // reused CSV scratch across frames
     Stopwatch watch_;
 };
 
@@ -892,12 +892,12 @@ Response SynthServer::handle_sample(const Request& request) {
     Response r;
     std::uint64_t rows = 0;
     run_sample_stream(*entry->model, spec, 0, [&](const data::Table& chunk) {
-        csv::serialize_append(chunk.to_csv(), /*include_header=*/rows == 0, r.payload);
+        chunk.append_csv(r.payload, /*include_header=*/rows == 0);
         rows += chunk.rows();
     });
     if (rows == 0) {
         // Zero-row responses still carry the header line.
-        r.payload = csv::serialize(data::Table(entry->model->schema()).to_csv());
+        data::Table(entry->model->schema()).append_csv(r.payload, /*include_header=*/true);
     }
     entry->requests.fetch_add(1, std::memory_order_relaxed);
     entry->rows_served.fetch_add(rows, std::memory_order_relaxed);
@@ -1077,9 +1077,12 @@ Response SynthServer::handle_fetch(const Request& request) {
 Response SynthServer::handle_fedtrain(const Request& request) {
     const TrainPlan plan = parse_train_plan(request);
     const auto c = cluster();
-    const std::size_t peer_count = c == nullptr ? 0 : c->config().peers.size();
     // The job's progress denominator covers both phases: epochs of local
-    // training, then one unit per peer for the publish fan-out.
+    // training, then one unit per peer for the publish fan-out.  The peers
+    // are counted from the live membership view that publish walks, not
+    // the static config, and publish re-sizes the total when the view has
+    // changed by the time it starts.
+    const std::size_t peer_count = c == nullptr ? 0 : c->peer_names().size();
     const std::uint64_t id = jobs_.submit(
         plan.model, plan.opts.gan.epochs + peer_count,
         [this, plan](JobManager::Context& context) {
@@ -1098,8 +1101,8 @@ Response SynthServer::handle_fedtrain(const Request& request) {
             std::string first_error;
             const std::size_t ok = cl->publish(
                 plan.model, snapshot, revision,
-                [&context, epochs](std::size_t done, std::size_t /*total*/) {
-                    context.report_progress(epochs + done);
+                [&context, epochs](std::size_t done, std::size_t total) {
+                    context.report_progress(epochs + done, epochs + total);
                 },
                 &first_error);
             // A peer that is down just misses this round (pull-through or a
@@ -1425,6 +1428,8 @@ std::size_t SynthServer::rebalance_now() {
     }
     c->rebalances.fetch_add(1, std::memory_order_relaxed);
     std::size_t moved = 0;
+    // Every up peer's digest, kept for the retire phase.
+    std::map<std::string, std::vector<DigestEntry>> digests;
     // Pull phase: snapshots the current ring places here that this node is
     // missing (or holds stale) are fetched from whichever up peer reports
     // them — the new owner pulls, so a joining node fills itself instead of
@@ -1433,7 +1438,7 @@ std::size_t SynthServer::rebalance_now() {
         if (!c->peer_up(peer)) {
             continue;
         }
-        std::vector<DigestEntry> remote;
+        std::vector<DigestEntry>& remote = digests[peer];
         try {
             remote = parse_digest_payload(c->digest_from(peer));
         } catch (const Error&) {
@@ -1466,9 +1471,19 @@ std::size_t SynthServer::rebalance_now() {
     // Retire phase: snapshots this node holds that the ring moved elsewhere
     // are pushed (revision-guarded) to the first reachable member of their
     // new preference list *before* the local copy is dropped — the fleet
-    // never retires its only copy.  An unreachable new owner just means the
-    // copy stays here until a later rebalance or anti-entropy finishes the
-    // move.
+    // never retires its only copy.  When that member's digest from the pull
+    // phase already lists the model at our revision or newer (it pulled
+    // first), the copy is retired without a push.  An unreachable new owner
+    // just means the copy stays here until a later rebalance or anti-entropy
+    // finishes the move.
+    const auto holds = [&digests](const std::string& node, const std::string& model,
+                                  std::uint64_t revision) {
+        const auto it = digests.find(node);
+        return it != digests.end() &&
+               std::any_of(it->second.begin(), it->second.end(), [&](const DigestEntry& e) {
+                   return e.name == model && e.revision >= revision;
+               });
+    };
     for (const auto& name : registry_.names()) {
         const auto preference = c->preference(name);
         if (std::find(preference.begin(), preference.end(), c->self_name()) !=
@@ -1483,6 +1498,10 @@ std::size_t SynthServer::rebalance_now() {
         for (const auto& node : preference) {
             if (node == c->self_name() || !c->peer_up(node)) {
                 continue;
+            }
+            if (holds(node, name, local->revision)) {
+                handed_off = true;
+                break;
             }
             try {
                 KINET_FAILPOINT("cluster.handoff");

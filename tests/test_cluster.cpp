@@ -12,10 +12,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -687,6 +689,127 @@ TEST(DynamicMembership, FourthMemberJoinsPullsItsSnapshotsAndServes) {
     for (auto* s : servers) {
         delete s;
     }
+}
+
+TEST(DynamicMembership, FedtrainProgressCountsThePeersPublishWalks) {
+    std::vector<SynthServer*> servers;
+    std::vector<PeerAddress> addrs;
+    for (std::size_t i = 0; i < 3; ++i) {
+        auto* s = new SynthServer(ServerOptions{});
+        s->start();
+        servers.push_back(s);
+        addrs.push_back(PeerAddress{"127.0.0.1", s->port()});
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+        servers[i]->enable_cluster(quiet_fleet_config(addrs, i));
+    }
+    ServerOptions joiner_options;
+    joiner_options.port = reserve_port();
+    SynthServer joiner(joiner_options);
+    joiner.start();
+    joiner.join_fleet(quiet_fleet_config({PeerAddress{"127.0.0.1", joiner_options.port}}, 0),
+                      addrs[0]);
+
+    // The seed adopted the 4-member view at JOIN time; its static config
+    // still lists the 2 peers it started with.
+    SynthServer& original = *servers[0];
+    ASSERT_EQ(original.cluster()->config().peers.size(), 2U);
+    ASSERT_EQ(original.cluster()->peer_names().size(), 3U);
+
+    constexpr std::size_t kEpochs = 2;
+    const Response submitted = original.handle(parse_request(
+        "FEDTRAIN fed-after-join records=300 sim-seed=13 epochs=2 gan-seed=3"));
+    ASSERT_TRUE(submitted.ok) << submitted.error;
+    const auto reply = parse_kv_payload(submitted.payload);
+    EXPECT_EQ(reply.at("peers"), "3");
+
+    Request poll;
+    poll.op = Op::poll;
+    poll.positional.push_back(reply.at("job"));
+    std::map<std::string, std::string> info;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    do {
+        info = parse_kv_payload(original.handle(poll).payload);
+        const auto done = parse_u64(info.at("epochs_done"), "epochs_done");
+        const auto total = parse_u64(info.at("epochs_total"), "epochs_total");
+        ASSERT_LE(done, total) << "progress overshot its total in state " << info.at("state");
+        ASSERT_EQ(total, kEpochs + 3);
+        if (info.at("state") != "queued" && info.at("state") != "running") {
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } while (std::chrono::steady_clock::now() < deadline);
+    ASSERT_EQ(info.at("state"), "done")
+        << (info.count("error") != 0 ? info.at("error") : std::string{});
+    EXPECT_EQ(info.at("epochs_done"), std::to_string(kEpochs + 3));
+    EXPECT_NE(joiner.registry().get("fed-after-join"), nullptr)
+        << "publish skipped the member that joined after startup";
+
+    joiner.stop();
+    for (auto* s : servers) {
+        delete s;
+    }
+}
+
+TEST(FleetRebalance, RetireSkipsThePushWhenTheOwnerAlreadyPulled) {
+    std::vector<std::unique_ptr<SynthServer>> servers;
+    std::vector<PeerAddress> addrs;
+    for (std::size_t i = 0; i < 3; ++i) {
+        servers.push_back(std::make_unique<SynthServer>(ServerOptions{}));
+        servers.back()->start();
+        addrs.push_back(PeerAddress{"127.0.0.1", servers.back()->port()});
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+        servers[i]->enable_cluster(quiet_fleet_config(addrs, i));
+    }
+    // A model whose preference list (replicas=2 of 3 members) leaves out
+    // member 2, which nevertheless holds the only copy: fwd=1 keeps the
+    // TRAIN local instead of forwarding it to the owner.
+    SynthServer& holder = *servers[2];
+    std::string name;
+    std::vector<std::string> preference;
+    for (int i = 0; i < 4096 && name.empty(); ++i) {
+        const std::string candidate = "retire-" + std::to_string(i);
+        preference = holder.cluster()->preference(candidate);
+        if (std::find(preference.begin(), preference.end(), holder.cluster()->self_name()) ==
+            preference.end()) {
+            name = candidate;
+        }
+    }
+    ASSERT_FALSE(name.empty());
+    const Response trained = holder.handle(
+        parse_request("TRAIN " + name + " records=400 sim-seed=11 epochs=2 gan-seed=1 fwd=1"));
+    ASSERT_TRUE(trained.ok) << trained.error;
+    auto holder_client = SynthClient::connect("127.0.0.1", holder.port());
+    const std::string golden = holder_client.sample_csv(name, 64, 99);
+    holder_client.quit();
+
+    SynthServer* owner = nullptr;
+    for (auto& s : servers) {
+        if (s->cluster()->self_name() == preference.front()) {
+            owner = s.get();
+        }
+    }
+    ASSERT_NE(owner, nullptr);
+
+    // The owner pulls first...
+    const std::uint64_t owner_handoffs = owner->cluster()->handoff_snapshots.load();
+    (void)owner->rebalance_now();
+    EXPECT_EQ(owner->cluster()->handoff_snapshots.load(), owner_handoffs + 1);
+    ASSERT_NE(owner->registry().get(name), nullptr);
+
+    // ...so the old holder's digest of the owner already lists the model at
+    // its revision: it retires its copy without pushing a snapshot.
+    const std::uint64_t holder_handoffs = holder.cluster()->handoff_snapshots.load();
+    const std::uint64_t holder_replications = holder.cluster()->replications_out.load();
+    (void)holder.rebalance_now();
+    EXPECT_EQ(holder.cluster()->handoff_snapshots.load(), holder_handoffs);
+    EXPECT_EQ(holder.cluster()->replications_out.load(), holder_replications);
+    EXPECT_EQ(holder.registry().get(name), nullptr) << "the misplaced copy was not retired";
+
+    auto owner_client = SynthClient::connect("127.0.0.1", owner->port());
+    EXPECT_EQ(owner_client.sample_csv(name, 64, 99), golden);
+    owner_client.quit();
 }
 
 TEST(FleetRepair, BreakerRecoveryTriggersAnImmediateAntiEntropyRound) {

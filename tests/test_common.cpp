@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "src/common/check.hpp"
 #include "src/common/csv.hpp"
@@ -159,9 +161,43 @@ TEST(Text, JoinAndPad) {
     EXPECT_EQ(kinet::text::pad("abcdef", 3), "abc");
 }
 
+std::string printf_fixed(double v, int precision) {
+    char buf[512];
+    const int n = std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+    return std::string(buf, static_cast<std::size_t>(n));
+}
+
 TEST(Text, FormatDoubleFixedPrecision) {
-    EXPECT_EQ(kinet::text::format_double(0.126, 2), "0.13");
-    EXPECT_EQ(kinet::text::format_double(3.0, 3), "3.000");
+    // Pinned against printf("%.*f") on ties, signs and range.
+    const struct {
+        double v;
+        int precision;
+        const char* expect;
+    } cases[] = {
+        {0.126, 2, "0.13"},
+        {3.0, 3, "3.000"},
+        {0.125, 2, "0.12"},  // exact binary tie: round half to even
+        {0.375, 2, "0.38"},
+        {-0.0, 6, "-0.000000"},
+        {-1e-7, 6, "-0.000000"},
+        {1e30, 6, "1000000000000000019884624838656.000000"},
+    };
+    for (const auto& c : cases) {
+        EXPECT_EQ(kinet::text::format_double(c.v, c.precision), c.expect) << c.v;
+        EXPECT_EQ(kinet::text::format_double(c.v, c.precision), printf_fixed(c.v, c.precision))
+            << c.v;
+    }
+    // Past the 64-byte stack buffer the wide path takes over.
+    EXPECT_EQ(kinet::text::format_double(1e300, 6), printf_fixed(1e300, 6));
+    EXPECT_EQ(kinet::text::format_double(-1.7e308, 3), printf_fixed(-1.7e308, 3));
+}
+
+TEST(Text, AppendFixedExtendsTheCallersBuffer) {
+    std::string out = "x=";
+    kinet::text::append_fixed(out, 2.5, 6);
+    out += ",y=";
+    kinet::text::append_fixed(out, 1e60, 1);
+    EXPECT_EQ(out, "x=2.500000,y=" + printf_fixed(1e60, 1));
 }
 
 TEST(Csv, RoundTripWithQuoting) {

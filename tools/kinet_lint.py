@@ -19,11 +19,16 @@ cannot express:
 
   hot-path-alloc  forward_inference() and StreamCursor::next() are the
                   serving fast path: allocation-free and lock-free once
-                  warm (PR 5/6 contract, docs/performance.md).  Direct
-                  allocation (push_back/resize/reserve/new/make_*) and
-                  locking are banned in their bodies; buffer reuse goes
-                  through the approved *_into / resize_for_overwrite /
-                  append_row_range APIs.
+                  warm (docs/performance.md).  Direct allocation
+                  (push_back/resize/reserve/new/make_*) and locking are
+                  banned in their bodies; buffer reuse goes through the
+                  approved *_into / resize_for_overwrite / append_row_range
+                  APIs.  The serving CSV encoder (Table::append_csv and its
+                  cell writers append_cell / append_fixed) writes into a
+                  caller-owned buffer, so appends to that buffer are fine
+                  there; streams, std::to_string, format_double, per-cell
+                  std::string temporaries, substr copies, new/make_* and
+                  locking are banned in its bodies.
 
   raw-io          Raw ::read/::write/::send/::recv on sockets lose EINTR
                   and partial-transfer handling; everything goes through
@@ -129,18 +134,33 @@ BLOCKING_PATTERNS = [
     (re.compile(r"\bparallel_for\s*\("), "parallel_for (blocks on the pool)"),
 ]
 
-HOTPATH_PATTERNS = [
+# Heap allocation and locking: banned in every serving fast-path body.
+ALLOC_LOCK_PATTERNS = [
     (re.compile(r"(?<!\w)new\s+[A-Za-z_]"), "operator new"),
     (re.compile(r"\bmake_unique\s*<"), "make_unique"),
     (re.compile(r"\bmake_shared\s*<"), "make_shared"),
     (re.compile(r"\bmalloc\s*\("), "malloc"),
+    (re.compile(r"\bMutexLock\b|\block_guard\b|\bunique_lock\b|\bscoped_lock\b"),
+     "lock acquisition"),
+    (re.compile(r"\.\s*lock\s*\(\s*\)"), "lock acquisition"),
+]
+
+HOTPATH_PATTERNS = ALLOC_LOCK_PATTERNS + [
     (re.compile(r"\.\s*push_back\s*\("), "push_back"),
     (re.compile(r"\.\s*emplace_back\s*\("), "emplace_back"),
     (re.compile(r"\.\s*resize\s*\("), "resize"),
     (re.compile(r"\.\s*reserve\s*\("), "reserve"),
-    (re.compile(r"\bMutexLock\b|\block_guard\b|\bunique_lock\b|\bscoped_lock\b"),
-     "lock acquisition"),
-    (re.compile(r"\.\s*lock\s*\(\s*\)"), "lock acquisition"),
+]
+
+# The CSV encoder appends to its caller's buffer (push_back/append are the
+# point), so besides allocation and locking only per-cell string building
+# is banned there.
+ENCODER_PATTERNS = ALLOC_LOCK_PATTERNS + [
+    (re.compile(r"\b(?:o|i)?stringstream\b"), "string stream"),
+    (re.compile(r"\bto_string\s*\("), "std::to_string"),
+    (re.compile(r"\bformat_double\s*\("), "format_double (returns a fresh string)"),
+    (re.compile(r"\bstd\s*::\s*string\b(?!\s*(?:&|::))"), "std::string temporary"),
+    (re.compile(r"\.\s*substr\s*\("), "substr copy"),
 ]
 
 RAW_IO_PATTERNS = [
@@ -359,14 +379,18 @@ def rule_hot_path(path: pathlib.Path, code_lines: list[str]) -> list[Finding]:
     sig = re.compile(
         r"\w+\s*::\s*forward_inference\s*\(|StreamCursor\s*::\s*\w+\s*\(")
     spans = find_function_bodies(code_lines, sig)
-    if not spans:
-        return []
 
-    def in_hot_path(idx: int) -> bool:
-        return any(s <= idx <= e for s, e in spans)
+    encoder_sig = re.compile(
+        r"Table\s*::\s*append_csv\s*\(|\bvoid\s+(?:append_cell|append_fixed)\s*\(")
+    encoder_spans = find_function_bodies(code_lines, encoder_sig)
 
-    return scan_patterns(path, code_lines, HOTPATH_PATTERNS, "hot-path-alloc",
-                         in_hot_path)
+    def in_span(spans_: list[tuple[int, int]]):
+        return lambda idx: any(s <= idx <= e for s, e in spans_)
+
+    return (scan_patterns(path, code_lines, HOTPATH_PATTERNS, "hot-path-alloc",
+                          in_span(spans)) +
+            scan_patterns(path, code_lines, ENCODER_PATTERNS, "hot-path-alloc",
+                          in_span(encoder_spans)))
 
 
 def rule_raw_io(path: pathlib.Path, code_lines: list[str]) -> list[Finding]:
